@@ -20,7 +20,9 @@
 //!   deterministic DFS-order merge, and the batch runner behind code
 //!   summary's concurrent group searches and seed extensions.
 //! * [`template`] — test case templates and their instantiation into
-//!   concrete input states (solver model extraction + hash post-filtering).
+//!   concrete input states: one long-lived [`template::Instantiator`]
+//!   solver per plan (assumption solving, model reuse, hash
+//!   post-filtering).
 //! * [`engine`] — the top-level [`engine::Meissa`] façade used by the test
 //!   driver, examples, and benchmarks; collects the statistics the paper's
 //!   figures report (time, SMT calls, possible paths).
@@ -49,4 +51,4 @@ pub use engine::{Meissa, MeissaConfig, RunOutput, RunStats};
 pub use exec::{ExecConfig, ExecOutput, ExecStats};
 pub use session::SolveSession;
 pub use stateful::{SequenceCase, SequenceTemplate, StatefulRunOutput};
-pub use template::{HashObligation, TestTemplate};
+pub use template::{HashObligation, Instantiator, TestTemplate};

@@ -30,7 +30,7 @@
 use crate::engine::{Meissa, RunStats};
 use crate::exec::generate_templates;
 use crate::session::SolveSession;
-use crate::template::TestTemplate;
+use crate::template::{Instantiator, TestTemplate};
 use meissa_ir::{
     count_paths, is_register_field, unroll, Cfg, ConcreteState, FieldId, FieldTable,
     InitialState, NodeId,
@@ -97,10 +97,22 @@ pub struct StatefulRunOutput {
 }
 
 impl StatefulRunOutput {
-    /// Instantiates sequence template `idx` into a concrete ordered case.
+    /// Instantiates sequence template `idx` into a concrete ordered case
+    /// with a one-shot [`Instantiator`].
     pub fn instantiate(&mut self, idx: usize) -> Option<SequenceCase> {
+        self.instantiate_with(&mut Instantiator::new(), idx)
+    }
+
+    /// Instantiates sequence template `idx` through a shared
+    /// [`Instantiator`], so constraints common to many sequences are
+    /// blasted once per plan.
+    pub fn instantiate_with(
+        &mut self,
+        inst: &mut Instantiator,
+        idx: usize,
+    ) -> Option<SequenceCase> {
         let t = &self.sequences[idx].template;
-        let unrolled = t.instantiate(&mut self.pool, &self.cfg.fields, &[])?;
+        let unrolled = inst.instantiate(t, &mut self.pool, &self.cfg.fields, &[])?;
         Some(self.split(&unrolled))
     }
 

@@ -26,10 +26,11 @@ pub use localize::{trace_execution, TraceStep};
 pub use report::{CaseResult, SoakStats, TestReport, Verdict};
 
 use meissa_core::stateful::StatefulRunOutput;
-use meissa_core::RunOutput;
+use meissa_core::{Instantiator, RunOutput};
 use meissa_dataplane::{parse_packet, Packet, SwitchTarget, TargetOutput};
 use meissa_ir::ConcreteState;
 use meissa_lang::CompiledProgram;
+use meissa_testkit::obs;
 use std::time::{Duration, Instant};
 
 /// What a receiver observed for one injected packet, however it observed
@@ -113,55 +114,65 @@ impl CaseSpec {
 /// deployment workflow where "network engineers specify test-case-specific
 /// constraints"). Each case gets a globally unique `wire_id` (1-based,
 /// in plan order).
+///
+/// Planning is sequential through one [`Instantiator`], so the planned
+/// inputs depend only on the template order.
 pub fn plan_cases(
     program: &CompiledProgram,
     run: &mut RunOutput,
     packets_per_template: usize,
 ) -> Vec<CaseSpec> {
+    let span = obs::span("template.instantiate");
+    let RunOutput {
+        pool,
+        cfg,
+        templates,
+        ..
+    } = run;
     let mut ctx = meissa_core::symstate::SymCtx::new(None);
     let v0 = meissa_core::symstate::ValueStack::new();
     let givens: Vec<meissa_smt::TermId> = program
         .intents
         .iter()
-        .map(|i| ctx.bexp(&mut run.pool, &run.cfg.fields, &v0, &i.given))
+        .map(|i| ctx.bexp(pool, &cfg.fields, &v0, &i.given))
         .collect();
+    let mut inst = Instantiator::new();
     let mut cases = Vec::new();
+    let mut skipped = 0u64;
     let mut next_id: u64 = 1;
-    for idx in 0..run.templates.len() {
-        let template_id = run.templates[idx].id;
-        let inputs = run.templates[idx].clone().instantiate_distinct(
-            &mut run.pool,
-            &run.cfg.fields,
-            packets_per_template,
-        );
+    for t in templates.iter() {
+        let inputs = inst.instantiate_distinct(t, pool, &cfg.fields, packets_per_template);
         if inputs.is_empty() {
+            skipped += 1;
             cases.push(CaseSpec::Skip {
-                template_id,
+                template_id: t.id,
                 reason: "template unsatisfiable at instantiation (hash filter)".into(),
             });
         }
-        for input in inputs {
+        let given_inputs = givens
+            .iter()
+            .filter_map(|&g| inst.instantiate(t, pool, &cfg.fields, &[g]));
+        for input in inputs.into_iter().chain(given_inputs) {
             cases.push(CaseSpec::Case {
-                template_id,
+                template_id: t.id,
                 wire_id: next_id,
                 input,
             });
             next_id += 1;
         }
-        for &g in &givens {
-            if let Some(input) =
-                run.templates[idx].instantiate(&mut run.pool, &run.cfg.fields, &[g])
-            {
-                cases.push(CaseSpec::Case {
-                    template_id,
-                    wire_id: next_id,
-                    input,
-                });
-                next_id += 1;
-            }
-        }
     }
+    close_plan_span(span, next_id - 1, skipped, &inst);
     cases
+}
+
+/// Records a planner's totals on its `template.instantiate` span (inert,
+/// and free beyond the flag load that opened it, when tracing is off).
+fn close_plan_span(mut span: obs::SpanGuard, cases: u64, skipped: u64, inst: &Instantiator) {
+    let stats = inst.stats();
+    span.field("cases", cases);
+    span.field("skipped", skipped);
+    span.field("sat_engine_calls", stats.sat_engine_calls);
+    span.field("model_reuse", stats.model_reuse);
 }
 
 /// One planned k-packet sequence case. The ordered counterpart of
@@ -193,11 +204,14 @@ pub enum SeqCaseSpec {
 /// unique `wire_id` (1-based, in plan order — packet *j* of an earlier
 /// sequence always has a smaller id than any packet of a later one).
 pub fn plan_sequence_cases(run: &mut StatefulRunOutput) -> Vec<SeqCaseSpec> {
+    let span = obs::span("template.instantiate");
+    let mut inst = Instantiator::new();
     let mut cases = Vec::new();
+    let mut skipped = 0u64;
     let mut next_id: u64 = 1;
     for idx in 0..run.sequences.len() {
         let sequence_id = run.sequences[idx].id;
-        match run.instantiate(idx) {
+        match run.instantiate_with(&mut inst, idx) {
             Some(case) => {
                 let wire_ids: Vec<u64> = (0..case.packets.len() as u64)
                     .map(|j| next_id + j)
@@ -209,12 +223,17 @@ pub fn plan_sequence_cases(run: &mut StatefulRunOutput) -> Vec<SeqCaseSpec> {
                     case,
                 });
             }
-            None => cases.push(SeqCaseSpec::Skip {
-                sequence_id,
-                reason: "sequence template unsatisfiable at instantiation (hash filter)".into(),
-            }),
+            None => {
+                skipped += 1;
+                cases.push(SeqCaseSpec::Skip {
+                    sequence_id,
+                    reason: "sequence template unsatisfiable at instantiation (hash filter)".into(),
+                })
+            }
         }
     }
+    let planned = cases.len() as u64 - skipped;
+    close_plan_span(span, planned, skipped, &inst);
     cases
 }
 
@@ -420,8 +439,7 @@ impl<'p> TestDriver<'p> {
     pub fn run_case(&self, run: &mut RunOutput, target: &SwitchTarget, idx: usize) -> CaseResult {
         let template_id = run.templates[idx].id;
         // Sender: instantiate the template into a concrete input.
-        let Some(input) = run.templates[idx].instantiate(&mut run.pool, &run.cfg.fields, &[])
-        else {
+        let Some(input) = run.instantiate(idx) else {
             return CaseResult::new(
                 template_id,
                 Verdict::Skipped {
@@ -739,6 +757,72 @@ mod tests {
         assert_eq!(dedup.len(), ids.len(), "wire ids must be unique");
         // Plan order is deterministic: ids are assigned 1..=n in order.
         assert_eq!(ids, (1..=ids.len() as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn planners_record_their_instantiate_span() {
+        let cp = program();
+        let mut run = Meissa::new().run(&cp);
+        let mut seq = Meissa::new().run_sequences(&cp);
+        let path = std::env::temp_dir().join(format!(
+            "meissa_driver_plan_span_{}.jsonl",
+            std::process::id()
+        ));
+        obs::trace_to(&path);
+        // Sibling tests may plan while tracing is on; keep only the spans
+        // nested under this test's own root.
+        let root = obs::span("test.plan_root");
+        let cases = plan_cases(&cp, &mut run, 2);
+        let seqs = plan_sequence_cases(&mut seq);
+        drop(root);
+        obs::trace_off();
+        let records = obs::drain();
+        let root_id = records
+            .iter()
+            .find_map(|r| match r {
+                obs::Record::Span {
+                    name: "test.plan_root",
+                    id,
+                    ..
+                } => Some(*id),
+                _ => None,
+            })
+            .expect("root span recorded");
+        let spans: Vec<Vec<(&str, u64)>> = records
+            .into_iter()
+            .filter_map(|r| match r {
+                obs::Record::Span {
+                    name: "template.instantiate",
+                    parent,
+                    fields,
+                    ..
+                } if parent == root_id => Some(fields),
+                _ => None,
+            })
+            .collect();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(spans.len(), 2, "one span per planner: {spans:?}");
+        let field = |i: usize, name: &str| {
+            spans[i]
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("span {i} lacks `{name}`: {spans:?}"))
+        };
+        let planned = cases
+            .iter()
+            .filter(|c| matches!(c, CaseSpec::Case { .. }))
+            .count() as u64;
+        assert_eq!(field(0, "cases"), planned);
+        assert_eq!(field(0, "skipped"), cases.len() as u64 - planned);
+        assert!(field(0, "sat_engine_calls") > 0);
+        let _ = field(0, "model_reuse");
+        let seq_planned = seqs
+            .iter()
+            .filter(|c| matches!(c, SeqCaseSpec::Case { .. }))
+            .count() as u64;
+        assert_eq!(field(1, "cases"), seq_planned);
+        assert_eq!(field(1, "skipped"), seqs.len() as u64 - seq_planned);
     }
 }
 

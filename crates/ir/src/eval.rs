@@ -57,8 +57,22 @@ impl ConcreteState {
     }
 
     /// Builds a state from (field, value) pairs.
+    ///
+    /// The value vector is allocated once, at its final length: a test
+    /// plan builds one state per case and keeps them all alive, and
+    /// growing each vector slot by slot leaves a trail of freed blocks
+    /// between them that the process never gets back.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (FieldId, Bv)>) -> Self {
-        let mut s = ConcreteState::default();
+        let pairs: Vec<(FieldId, Bv)> = pairs.into_iter().collect();
+        let len = pairs
+            .iter()
+            .map(|(f, _)| f.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut s = ConcreteState {
+            values: Vec::with_capacity(len),
+            count: 0,
+        };
         for (f, v) in pairs {
             s.set_unchecked(f, v);
         }

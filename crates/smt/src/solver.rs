@@ -13,6 +13,13 @@
 //! cones) and checked with one assumption-based SAT call per arm — no frame
 //! push/pop, no per-probe guard clause, and every clause the engine learns
 //! while refuting one arm stays available to its siblings.
+//!
+//! [`Solver::check_assuming`] is the conjunctive form of the same idea: a
+//! whole conjunction of terms goes in as assumption literals, so one
+//! frameless solver can answer a long sequence of unrelated queries (test
+//! instantiation asks one per case) while blasting every distinct term only
+//! once; [`Solver::model_value`] reads the answer back one variable at a
+//! time.
 
 use crate::blast::Blaster;
 use crate::sat::{Lit, PortableLit, SatResult, SatSolver, SharedClause};
@@ -329,51 +336,90 @@ impl Solver {
         pool: &mut TermPool,
         assumptions: &[TermId],
     ) -> Vec<CheckResult> {
+        assumptions
+            .iter()
+            .map(|&t| self.check_assuming_inner(pool, &[t]))
+            .collect()
+    }
+
+    /// Checks the live assertion stack extended by the *conjunction* of
+    /// `terms`, as one `check`: every term is blasted to a literal (cached
+    /// in the [`Blaster`], so a term shared across calls is encoded once
+    /// per solver lifetime) and the engine solves under `{frame
+    /// activations} ∪ {term literals}`. Nothing is added to the clause
+    /// database except gate definitions, so a solver can answer an
+    /// unbounded sequence of unrelated conjunctions without push/pop and
+    /// keep every learned clause sound for all of them.
+    ///
+    /// When the last model certifies every open frame and every term, the
+    /// answer is `Sat` by term evaluation alone (`model_reuse`), exactly as
+    /// in [`Solver::check_under`]. Counts one `checks`.
+    pub fn check_assuming(&mut self, pool: &mut TermPool, terms: &[TermId]) -> CheckResult {
+        if !obs::active() {
+            return self.check_assuming_inner(pool, terms);
+        }
+        let (before, sat_before) = (self.stats, self.sat.stats);
+        let out = self.check_assuming_inner(pool, terms);
+        self.publish_obs(before, sat_before);
+        out
+    }
+
+    fn check_assuming_inner(&mut self, pool: &mut TermPool, terms: &[TermId]) -> CheckResult {
+        self.stats.checks += 1;
         let poisoned = self.frames.iter().any(|f| f.poisoned);
-        let mut out = Vec::with_capacity(assumptions.len());
-        for &t in assumptions {
-            self.stats.checks += 1;
-            if poisoned || pool.as_bool_const(t) == Some(false) {
-                self.stats.fast_path += 1;
-                self.stats.unsat += 1;
-                out.push(CheckResult::Unsat);
+        if poisoned || terms.iter().any(|&t| pool.as_bool_const(t) == Some(false)) {
+            return self.fast_unsat();
+        }
+        if self.model_depth == self.frames.len()
+            && terms.iter().all(|&t| self.model_certifies(pool, t))
+        {
+            self.stats.model_reuse += 1;
+            self.stats.sat += 1;
+            return CheckResult::Sat;
+        }
+        let mut assume: Vec<Lit> = self.frames.iter().map(|f| f.activation).collect();
+        for &t in terms {
+            if pool.as_bool_const(t) == Some(true) {
                 continue;
             }
-            if self.model_depth == self.frames.len() && self.model_certifies(pool, t) {
-                self.stats.model_reuse += 1;
-                self.stats.sat += 1;
-                out.push(CheckResult::Sat);
-                continue;
+            let (blaster, sat) = self.blaster_mut();
+            let lit = blaster.bool_lit(pool, sat, t);
+            if lit == blaster.false_lit() {
+                // The blasted cone folded to constant false.
+                return self.fast_unsat();
             }
-            let mut assume: Vec<Lit> = self.frames.iter().map(|f| f.activation).collect();
-            if pool.as_bool_const(t) != Some(true) {
-                let (blaster, sat) = self.blaster_mut();
-                let lit = blaster.bool_lit(pool, sat, t);
-                if lit == blaster.false_lit() {
-                    // The blasted cone folded to constant false.
-                    self.stats.fast_path += 1;
-                    self.stats.unsat += 1;
-                    out.push(CheckResult::Unsat);
-                    continue;
-                }
-                if lit != blaster.true_lit() {
-                    assume.push(lit);
-                }
-            }
-            self.stats.sat_engine_calls += 1;
-            match self.sat.solve(&assume) {
-                SatResult::Sat => {
-                    self.stats.sat += 1;
-                    self.capture_model(pool);
-                    out.push(CheckResult::Sat);
-                }
-                SatResult::Unsat => {
-                    self.stats.unsat += 1;
-                    out.push(CheckResult::Unsat);
-                }
+            if lit != blaster.true_lit() {
+                assume.push(lit);
             }
         }
-        out
+        self.stats.sat_engine_calls += 1;
+        match self.sat.solve(&assume) {
+            SatResult::Sat => {
+                self.stats.sat += 1;
+                self.capture_model(pool);
+                CheckResult::Sat
+            }
+            SatResult::Unsat => {
+                self.stats.unsat += 1;
+                CheckResult::Unsat
+            }
+        }
+    }
+
+    fn fast_unsat(&mut self) -> CheckResult {
+        self.stats.fast_path += 1;
+        self.stats.unsat += 1;
+        CheckResult::Unsat
+    }
+
+    /// One variable's value in the most recent `Sat` answer. A variable the
+    /// model does not assign reads as zero, the same convention the
+    /// model-reuse rule evaluates terms under.
+    pub fn model_value(&self, pool: &TermPool, v: VarId) -> Bv {
+        self.last_model
+            .get(&v)
+            .copied()
+            .unwrap_or_else(|| Bv::zero(pool.var_width(v)))
     }
 
     /// The model from the most recent `Sat` answer.
@@ -383,9 +429,7 @@ impl Solver {
     pub fn model(&self, pool: &TermPool) -> Model {
         let mut values = HashMap::new();
         for v in pool.all_vars() {
-            let w = pool.var_width(v);
-            let bv = self.last_model.get(&v).copied().unwrap_or(Bv::zero(w));
-            values.insert(pool.var_name(v).to_string(), bv);
+            values.insert(pool.var_name(v).to_string(), self.model_value(pool, v));
         }
         Model { values }
     }
@@ -688,6 +732,60 @@ mod tests {
     fn unbalanced_pop_panics() {
         let mut s = Solver::new();
         s.pop();
+    }
+
+    #[test]
+    fn check_assuming_answers_unrelated_conjunctions_on_one_solver() {
+        let mut pool = TermPool::new();
+        let mut s = Solver::new();
+        let x = pool.var("x", 8);
+        let y = pool.var("y", 8);
+        let k1 = pool.bv_const(Bv::new(8, 1));
+        let k2 = pool.bv_const(Bv::new(8, 2));
+        let x1 = pool.eq(x, k1);
+        let x2 = pool.eq(x, k2);
+        let sum = pool.add(x, y);
+        let shared = pool.eq(sum, k2);
+        let (vx, vy) = (pool.find_var("x").unwrap(), pool.find_var("y").unwrap());
+
+        // A contradictory request leaves nothing behind for later ones.
+        assert_eq!(s.check_assuming(&mut pool, &[x1, x2]), CheckResult::Unsat);
+        assert_eq!(s.check_assuming(&mut pool, &[shared, x2]), CheckResult::Sat);
+        assert_eq!(s.model_value(&pool, vx), Bv::new(8, 2));
+        assert_eq!(s.model_value(&pool, vy), Bv::zero(8));
+        assert_eq!(s.check_assuming(&mut pool, &[shared, x1]), CheckResult::Sat);
+        assert_eq!(s.model_value(&pool, vy), Bv::new(8, 1));
+
+        // Every term is blasted already: re-asking allocates no SAT var.
+        let vars = s.sat.num_vars();
+        assert_eq!(s.check_assuming(&mut pool, &[shared, x2]), CheckResult::Sat);
+        assert_eq!(s.sat.num_vars(), vars);
+        assert_eq!(s.depth(), 0, "no frames are used");
+    }
+
+    #[test]
+    fn check_assuming_reuses_a_certifying_model() {
+        let mut pool = TermPool::new();
+        let mut s = Solver::new();
+        let x = pool.var("x", 8);
+        let k5 = pool.bv_const(Bv::new(8, 5));
+        let k3 = pool.bv_const(Bv::new(8, 3));
+        let gt5 = pool.ugt(x, k5);
+        let gt3 = pool.ugt(x, k3);
+        let vx = pool.find_var("x").unwrap();
+        assert_eq!(s.check_assuming(&mut pool, &[gt5]), CheckResult::Sat);
+        let calls = s.stats.sat_engine_calls;
+        let v = s.model_value(&pool, vx);
+        // x > 5 implies x > 3: the last model answers without the engine.
+        assert_eq!(s.check_assuming(&mut pool, &[gt3, gt5]), CheckResult::Sat);
+        assert_eq!(s.stats.sat_engine_calls, calls);
+        assert_eq!(s.stats.model_reuse, 1);
+        assert_eq!(s.model_value(&pool, vx), v);
+        // A constant-false term is refuted syntactically.
+        let f = pool.bool_false();
+        assert_eq!(s.check_assuming(&mut pool, &[gt3, f]), CheckResult::Unsat);
+        assert_eq!(s.stats.fast_path, 1);
+        assert_eq!(s.stats.checks, 3);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl TermPool {
     }
 
     /// All declared variables.
-    pub fn all_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+    pub fn all_vars(&self) -> impl ExactSizeIterator<Item = VarId> + '_ {
         (0..self.vars.len() as u32).map(VarId)
     }
 

@@ -1,7 +1,9 @@
 //! Parallel-exploration determinism: for every thread count the engine must
 //! produce the *same* template sequence — same paths, in the same order,
-//! with the same constraints and output values — and the same headline
-//! statistics as the sequential engine. The comparison renders terms two
+//! with the same constraints and output values — the same headline
+//! statistics as the sequential engine, and byte-identical planned test
+//! cases (instantiation is sequential, so planned inputs depend only on
+//! the template order). The comparison renders terms two
 //! ways: via [`meissa_smt::TermPool::canonical_key`] (pool-independent
 //! structural identity — worker pools intern in schedule-dependent order,
 //! so raw `TermId`s are not comparable across runs) *and* via the pretty
@@ -9,12 +11,19 @@
 //! catches operand-order flips that canonical keys normalize away.
 
 use meissa_core::{Meissa, MeissaConfig};
+use meissa_driver::{plan_cases, CaseSpec};
 use meissa_suite as suite;
+use meissa_testkit::obs::ledger::content_hash;
 
 /// A pool-independent fingerprint of one engine run: per template the node
 /// path, canonically-rendered constraints, and canonically-rendered final
-/// values, plus the path-counting statistics the figures report.
-fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
+/// values, plus the path-counting statistics the figures report and a hash
+/// of the planned test cases (template id, wire id and every input value),
+/// so the thread count may not move a single planned packet either.
+fn fingerprint(
+    program: &meissa_lang::CompiledProgram,
+    run: &mut meissa_core::engine::RunOutput,
+) -> (Vec<String>, String) {
     let templates = run
         .templates
         .iter()
@@ -39,8 +48,19 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
             format!("path={path:?} constraints={cs:?} finals={fv:?}")
         })
         .collect();
+    let plan: String = plan_cases(program, run, 2)
+        .iter()
+        .map(|spec| match spec {
+            CaseSpec::Skip { template_id, .. } => format!("skip {template_id};"),
+            CaseSpec::Case {
+                template_id,
+                wire_id,
+                input,
+            } => format!("{template_id}/{wire_id}={:?};", input.iter().collect::<Vec<_>>()),
+        })
+        .collect();
     let stats = format!(
-        "valid={} before={} after={} checks={} probes={}",
+        "valid={} before={} after={} checks={} probes={} plan={:016x}",
         run.stats.valid_paths,
         run.stats.paths_before,
         run.stats.paths_after,
@@ -56,6 +76,7 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         // get their own assertion below.
         run.stats.smt_checks,
         run.stats.cache_probes,
+        content_hash(plan.as_bytes()),
     );
     (templates, stats)
 }
@@ -94,8 +115,8 @@ trait RunByName {
 impl RunByName for Meissa {
     fn run_output(&self, name: &str) -> (Vec<String>, String) {
         let w = workload(name);
-        let run = self.run(&w.program);
-        fingerprint(&run)
+        let mut run = self.run(&w.program);
+        fingerprint(&w.program, &mut run)
     }
 }
 

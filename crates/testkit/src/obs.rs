@@ -210,7 +210,11 @@ fn with_tls<R>(f: impl FnOnce(&mut ThreadState) -> R) -> Option<R> {
 /// Moves the calling thread's pending records into the global parked
 /// list so another thread's [`drain`] can see them. Long-lived threads
 /// (e.g. agent connection loops) call this at natural boundaries;
-/// short-lived worker threads park automatically on exit.
+/// short-lived worker threads park automatically on exit, from their TLS
+/// destructor. Only an explicit `JoinHandle::join` waits for that
+/// destructor: the implicit join at the end of `std::thread::scope` may
+/// return before it runs, so a caller that drains after a scope must join
+/// its workers' handles (as the engine's explorer does).
 pub fn park_current_thread() {
     with_tls(|s| {
         if !s.buf.is_empty() {
@@ -962,10 +966,14 @@ mod tests {
         reset_for_test();
         set_flag(F_TRACE, true);
         std::thread::scope(|s| {
+            // Joined explicitly: the scope's implicit join returns before
+            // the worker's TLS destructor has parked its records.
             s.spawn(|| {
                 let _sp = span("worker");
                 event("inside", &[]);
-            });
+            })
+            .join()
+            .expect("worker panicked");
         });
         set_flag(F_TRACE, false);
         let recs = drain();

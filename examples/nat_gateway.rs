@@ -13,7 +13,7 @@
 //! ```
 
 use meissa::core::symstate::{SymCtx, ValueStack};
-use meissa::core::Meissa;
+use meissa::core::{Instantiator, Meissa};
 use meissa::dataplane::SwitchTarget;
 use meissa::driver::TestDriver;
 use meissa::ir::{AExp, BExp, CmpOp};
@@ -155,6 +155,9 @@ fn main() {
     let target = SwitchTarget::new(&program);
     let mut ctx = SymCtx::new(None);
     let v0 = ValueStack::new();
+    // One solver for every sub-case: constraints shared across templates
+    // and sub-cases are blasted once.
+    let mut inst = Instantiator::new();
 
     for (name, given) in sub_cases {
         let g = ctx.bexp(&mut run.pool, &run.cfg.fields, &v0, &given);
@@ -163,7 +166,7 @@ fn main() {
         for idx in 0..run.templates.len() {
             let id = run.templates[idx].id;
             let Some(input) =
-                run.templates[idx].instantiate(&mut run.pool, &run.cfg.fields, &[g])
+                inst.instantiate(&run.templates[idx], &mut run.pool, &run.cfg.fields, &[g])
             else {
                 continue; // this template's path is outside the sub-case
             };

@@ -162,6 +162,24 @@ if ! echo "$out" | grep -q "table eip_lookup rule .* absent in candidate"; then
 fi
 echo "ok: identical runs diff clean; dropped rule named and gated"
 
+echo "==> e2ebench: self-tests + one correctness run per declared workload"
+# The source-to-verdict benchmark is a package of its own; its unit tests
+# include the check that BENCHMARK.json equals the rendered spec. Each
+# declared workload then runs once, briefly and untraced: the exit code
+# gates the golden template counts and fingerprints, planned cases, skips
+# and rules hit, fail_frac = 0, and 16/16 known answers. Timings from
+# these short runs are not compared.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+for w in gw4-summary acl-dfs; do
+  if ! out=$(cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- \
+      --workload "$w" --seed 1 --seconds 1 --trace 0); then
+    echo "e2ebench $w failed its correctness gates:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+echo "ok: e2ebench goldens and known answers hold"
+
 echo "==> dependency guard: workspace crates only"
 # Every line of the flat dependency listing must be a meissa-* path crate
 # (or the facade crate `meissa` itself). Anything else is an external
