@@ -886,6 +886,12 @@ fn bench_smoke() {
     // thread-count-dependent drift (5121 vs 5217 sat_engine_calls) this
     // golden now guards against coming back.
     const GOLDEN_SUMMARY_CACHE: (u64, u64) = (5820, 104);
+    // SAT-engine work: the deterministic gate on how often a probe reaches
+    // the engine instead of the verdict cache, model reuse or the
+    // fast path. Sharing a solver across a run of summary batch jobs must
+    // leave it unchanged, since reuse may only skip re-encoding.
+    const GOLDEN_DFS_SAT_CALLS: u64 = 1716;
+    const GOLDEN_SUMMARY_SAT_CALLS: u64 = 5148;
 
     let w = gw(3, GwScale { eips: 8 });
     let smt_only = MeissaConfig {
@@ -908,6 +914,10 @@ fn bench_smoke() {
         GOLDEN_DFS_CACHE,
         "gw-3-r8/dfs verdict-cache counters drifted from the recorded golden"
     );
+    assert_eq!(
+        dfs.sat_engine_calls, GOLDEN_DFS_SAT_CALLS,
+        "gw-3-r8/dfs sat_engine_calls drifted from the recorded golden"
+    );
     let summary = measure(
         &w,
         MeissaConfig {
@@ -928,6 +938,10 @@ fn bench_smoke() {
         (summary.cache_probes, summary.cache_hits),
         GOLDEN_SUMMARY_CACHE,
         "gw-3-r8/summary verdict-cache counters drifted from the recorded golden"
+    );
+    assert_eq!(
+        summary.sat_engine_calls, GOLDEN_SUMMARY_SAT_CALLS,
+        "gw-3-r8/summary sat_engine_calls drifted from the recorded golden"
     );
     // Same run through the auto router: the BDD engine takes the
     // match-field-only probes, yet every externally visible counter —

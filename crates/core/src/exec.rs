@@ -421,12 +421,12 @@ pub fn explore(
 /// emitted (the caller distinguishes them by their last node) — Algorithm
 /// 2's extension needs both continuations toward later pipelines and
 /// program-completing paths.
-/// Starts from a **fresh solver** (`session.reset_solver()`): frames and
-/// learned clauses from a previous top-level exploration would slow unit
-/// propagation more than re-blasting costs. Use [`explore_in_session`] to
-/// keep the session's current solver — and its bit-blasting cache — warm
-/// across related explorations (Algorithm 2's per-group searches and
-/// per-seed extensions).
+/// Starts from a **fresh solver** (`session.reset_solver()`), so a
+/// top-level exploration's solver counters do not depend on what the
+/// session explored before. Use [`explore_in_session`] to keep the
+/// session's current solver — and its bit-blasting cache — warm across
+/// related explorations, as a run of Algorithm 2's group searches and seed
+/// extensions does in the batch explorer (`parallel::explore_batch`).
 #[allow(clippy::too_many_arguments)]
 pub fn explore_multi(
     cfg: &Cfg,

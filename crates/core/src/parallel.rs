@@ -583,16 +583,19 @@ pub(crate) fn explore_parallel(
     }
     stats.timed_out |= budget.timed_out();
     stats.elapsed = t0.elapsed();
-    if std::env::var_os("MEISSA_PAR_DEBUG").is_some() {
-        let busy: f64 = outputs.iter().map(|o| o.busy.as_secs_f64()).sum();
+    if obs::trace_on() {
+        let busy: std::time::Duration = outputs.iter().map(|o| o.busy).sum();
         let tasks: usize = outputs.iter().map(|o| o.tasks).sum();
-        eprintln!(
-            "explore_parallel: threads={threads} explore={:.1}ms merge={:.1}ms \
-             worker_busy_sum={:.1}ms tasks={tasks} paths={}",
-            t_explore.as_secs_f64() * 1e3,
-            (t0.elapsed() - t_explore).as_secs_f64() * 1e3,
-            busy * 1e3,
-            merged.len()
+        obs::event(
+            "parallel.explore",
+            &[
+                ("threads", threads as u64),
+                ("explore_us", t_explore.as_micros() as u64),
+                ("merge_us", (t0.elapsed() - t_explore).as_micros() as u64),
+                ("worker_busy_us", busy.as_micros() as u64),
+                ("tasks", tasks as u64),
+                ("paths", merged.len() as u64),
+            ],
         );
     }
     (merged, stats)
@@ -630,13 +633,44 @@ pub(crate) struct JobResult {
     pub hash_defs: Vec<HashDef>,
 }
 
+/// Longest solver run in [`explore_batch`]. A run's jobs share one solver,
+/// so a prefix term blasted for one job is reused by the next; the run
+/// boundary retires the solver so its clause database stays small. Caps of
+/// 16, 64 and 256 measured within noise of each other on gw-4 summary.
+const MAX_RUN_JOBS: usize = 64;
+
+/// Fewest runs a batch is split into when it has that many jobs. A batch
+/// of a few dozen heavy group searches would otherwise be one run, and so
+/// one worker: on gw-4 at two threads, eight runs cut the group-search
+/// batches from 237 to 159 ms (median of 12) at the same extension time.
+const MIN_RUNS: usize = 8;
+
+/// Consecutive jobs per solver run for a batch of `jobs` jobs. A function
+/// of the job count alone, never of the thread count, so the partition —
+/// and with it every solver counter — is the same at any thread count.
+fn run_len(jobs: usize) -> usize {
+    jobs.div_ceil(MIN_RUNS).clamp(1, MAX_RUN_JOBS)
+}
+
+/// How many solver runs [`explore_batch`] splits `jobs` jobs into.
+pub(crate) fn batch_runs(jobs: usize) -> usize {
+    jobs.div_ceil(run_len(jobs))
+}
+
 /// Runs a batch of independent exploration jobs across `config.threads`
 /// workers and returns results **in job order** — which is also the order
 /// their terms are translated into the main pool, so main-pool term-id
-/// assignment is schedule-independent. Each job runs sequentially inside
-/// one worker (its own emission order is the sequential one); workers pull
-/// jobs from a shared counter and keep one warm [`SolveSession`] across the
-/// jobs they execute. Worker counters merge into `session` at join.
+/// assignment is schedule-independent.
+///
+/// The job list is cut into runs of consecutive jobs ([`run_len`]), and
+/// workers pull whole runs from a shared counter. A run starts from a
+/// fresh solver and explores each of its jobs in one solver frame
+/// ([`crate::exec::explore_in_session`]), so terms already blasted earlier
+/// in the run are not encoded again. Because the partition ignores the
+/// thread count, solver counters are a function of (run, cache snapshot)
+/// and stay thread-invariant; verdict-cache counters remain a function of
+/// (job, snapshot), since each job's discoveries are taken separately.
+/// Worker counters merge into `session` at join.
 pub(crate) fn explore_batch(
     cfg: &Cfg,
     session: &mut SolveSession,
@@ -649,11 +683,13 @@ pub(crate) fn explore_batch(
         /// verdicts the job decided itself)
         done: Vec<(usize, Vec<RawPath>, ExecStats, Vec<HashDef>, HashMap<u128, bool>)>,
     }
-    let mut threads = config.threads.max(1).min(jobs.len().max(1));
+    let len = run_len(jobs.len());
+    let runs = batch_runs(jobs.len());
+    let mut threads = config.threads.max(1).min(runs.max(1));
     if config.min_paths_per_worker > 0 {
         // Same right-sizing rationale as `explore_parallel` cap (a): a
         // batch worker beyond the core count only adds scheduling latency
-        // plus a pool fork. Job-count imbalance is already handled by the
+        // plus a pool fork. Run-count imbalance is already handled by the
         // shared-counter pull below.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         threads = threads.min(cores);
@@ -661,9 +697,9 @@ pub(crate) fn explore_batch(
     let next = AtomicUsize::new(0);
     // Workers see the main cache as a read-only snapshot: each job starts
     // from the same warm base at every thread count, which is what makes
-    // per-job probe/hit/engine-call counters — and their batch sums —
-    // thread-invariant. What a job decides on top of the base it keeps
-    // locally; those discoveries are merged back below in job order.
+    // per-job probe/hit counters — and their batch sums — thread-invariant.
+    // What a job decides on top of the base it keeps locally; those
+    // discoveries are merged back below in job order.
     let base: Arc<HashMap<u128, bool>> = Arc::new(session.verdict_cache.clone());
     let exchange = clause_exchange(threads);
     let main_pool = &session.pool;
@@ -684,30 +720,33 @@ pub(crate) fn explore_batch(
                     }
                     let mut done = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
+                        let run = next.fetch_add(1, Ordering::Relaxed);
+                        if run >= runs {
                             break;
                         }
-                        let job = &jobs[i];
-                        let mut ctx = SymCtx::new(job.scope.as_deref());
-                        let mut paths = Vec::new();
-                        let stats = crate::exec::explore_multi(
-                            cfg,
-                            &mut wsession,
-                            &mut ctx,
-                            job.start,
-                            &job.targets,
-                            &job.base,
-                            &job.seeds,
-                            config,
-                            &mut |p| paths.push(p),
-                        );
-                        let defs: Vec<HashDef> = ctx.hash_defs().cloned().collect();
-                        // Emptying the local cache per job keeps every job's
-                        // counters a function of (job, base) alone — not of
-                        // which jobs this worker happened to run before.
-                        let found = wsession.take_discoveries();
-                        done.push((i, paths, stats, defs, found));
+                        wsession.reset_solver();
+                        let lo = run * len;
+                        for (i, job) in jobs.iter().enumerate().skip(lo).take(len) {
+                            let mut ctx = SymCtx::new(job.scope.as_deref());
+                            let mut paths = Vec::new();
+                            let stats = crate::exec::explore_in_session(
+                                cfg,
+                                &mut wsession,
+                                &mut ctx,
+                                job.start,
+                                &job.targets,
+                                &job.base,
+                                &job.seeds,
+                                config,
+                                &mut |p| paths.push(p),
+                            );
+                            let defs: Vec<HashDef> = ctx.hash_defs().cloned().collect();
+                            // Emptying the local cache per job keeps every
+                            // job's verdict counters a function of (job, base)
+                            // alone — not of which jobs ran before it.
+                            let found = wsession.take_discoveries();
+                            done.push((i, paths, stats, defs, found));
+                        }
                     }
                     wsession.share_learned();
                     BatchWorkerOutput {
@@ -987,5 +1026,72 @@ mod tests {
         // Worker counters merged: 4 jobs × (1 valid + 3 pruned per table).
         assert_eq!(session.exec.valid_paths, 4);
         assert_eq!(session.exec.pruned, 24);
+    }
+
+    #[test]
+    fn runs_of_jobs_match_fresh_solver_per_job() {
+        // A batch spanning several solver runs must give every job exactly
+        // what a fresh session would: sharing a solver inside a run may only
+        // save encoding work, never change a path, a constraint, or a
+        // verdict-cache counter.
+        let n = 4u128;
+        let cfg = fig7_cfg(n);
+        let dst = cfg.fields.get("dstIP").unwrap();
+        let mut session = SolveSession::new();
+        let mut ctx = SymCtx::new(None);
+        let dst_var = ctx.read(&mut session.pool, &cfg.fields, &ValueStack::new(), dst);
+        // Pins cycle over the n reachable destinations plus one that no arm
+        // accepts; every seventh job is unpinned and walks all n paths.
+        let jobs: Vec<ExploreJob> = (0..MAX_RUN_JOBS as u128 * 2 + 9)
+            .map(|i| {
+                let base = if i % 7 == 0 {
+                    Vec::new()
+                } else {
+                    let k = session.pool.bv_const(Bv::new(32, 0x01010101 + i % (n + 1)));
+                    vec![session.pool.eq(dst_var, k)]
+                };
+                ExploreJob {
+                    start: cfg.entry(),
+                    targets: HashSet::new(),
+                    base,
+                    seeds: Vec::new(),
+                    scope: None,
+                }
+            })
+            .collect();
+        assert!(batch_runs(jobs.len()) > 2);
+        let config = ExecConfig {
+            threads: 2,
+            min_paths_per_worker: 0,
+            ..ExecConfig::default()
+        };
+        let results = explore_batch(&cfg, &mut session, &config, &jobs);
+        assert_eq!(results.len(), jobs.len());
+        for (i, (job, got)) in jobs.iter().zip(&results).enumerate() {
+            let mut fresh = SolveSession::fork_from(&session.pool);
+            let mut fctx = SymCtx::new(None);
+            let mut want = Vec::new();
+            let st = crate::exec::explore_multi(
+                &cfg,
+                &mut fresh,
+                &mut fctx,
+                job.start,
+                &job.targets,
+                &job.base,
+                &job.seeds,
+                &config,
+                &mut |p| want.push(p),
+            );
+            assert_eq!(got.paths.len(), want.len(), "job {i}: path count");
+            for (g, w) in got.paths.iter().zip(&want) {
+                assert_eq!(g.path, w.path, "job {i}: path");
+                let gc: Vec<String> = g.constraints.iter().map(|&c| canon(&session.pool, c)).collect();
+                let wc: Vec<String> = w.constraints.iter().map(|&c| canon(&fresh.pool, c)).collect();
+                assert_eq!(gc, wc, "job {i}: constraints");
+            }
+            assert_eq!(got.stats.smt_checks, st.smt_checks, "job {i}: smt_checks");
+            assert_eq!(got.stats.cache_probes, st.cache_probes, "job {i}: cache_probes");
+            assert_eq!(got.stats.cache_hits, st.cache_hits, "job {i}: cache_hits");
+        }
     }
 }

@@ -282,10 +282,12 @@ impl SolveSession {
     }
 
     /// Replaces the incremental solver with a fresh one, retiring its
-    /// counters into the session totals. Frames and learned clauses from
-    /// thousands of probes would otherwise accumulate and slow unit
-    /// propagation more than re-blasting costs — which is why each
-    /// top-level exploration starts from a fresh solver.
+    /// counters into the session totals. A popped frame only disables its
+    /// clauses, so a solver that lives forever keeps growing; callers
+    /// bound that by retiring at a coarse boundary — a top-level
+    /// exploration ([`crate::exec::explore_multi`]), a parallel worker's
+    /// check budget, a run of batch jobs — and pay for re-blasting the
+    /// next prefix once per boundary rather than once per probe.
     pub fn reset_solver(&mut self) {
         // A retiring solver's learned clauses are about to be dropped —
         // last chance to publish them for siblings.

@@ -30,6 +30,7 @@ use crate::session::SolveSession;
 use crate::symstate::SymCtx;
 use meissa_ir::{AExp, AOp, BExp, Cfg, CmpOp, FieldId, PipelineId, Stmt};
 use meissa_smt::{TermId, TermNode, TermPool};
+use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -94,10 +95,10 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
     let entry_of: Vec<meissa_ir::NodeId> = order.iter().map(|&p| cfg.pipeline(p).entry).collect();
 
     // One program-scope context across the whole pass so cached paths'
-    // terms stay consistent. Each exploration uses a fresh solver: frames
-    // and learned clauses from thousands of pre-condition probes would
-    // otherwise accumulate and slow propagation more than re-blasting
-    // costs.
+    // terms stay consistent. The seed search below starts from a fresh
+    // solver; group searches and seed extensions share one solver per run
+    // of consecutive batch jobs (see `explore_batch`), so a prefix blasted
+    // for one job is reused by the next.
     let mut prog_ctx = SymCtx::new(None);
     // Valid paths from the program entry to each pipeline's entry marker.
     let mut cache: HashMap<meissa_ir::NodeId, Vec<RawPath>> = HashMap::new();
@@ -106,6 +107,7 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
     // (`explore_parallel` runs the unchanged sequential engine at one
     // thread, so this is one code path for every thread count.)
     {
+        let mut span = obs::span("summary.seed");
         let targets: HashSet<meissa_ir::NodeId> = entry_of.iter().copied().collect();
         let (sink_paths, st) = crate::parallel::explore_parallel(
             cfg,
@@ -118,6 +120,7 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
             config,
         );
         stats.absorb(&st);
+        span.field("paths", sink_paths.len() as u64);
         let entry_set: HashSet<meissa_ir::NodeId> = entry_of.iter().copied().collect();
         for p in sink_paths {
             let end = *p.path.last().expect("non-empty path");
@@ -150,7 +153,11 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
     );
     stats.elapsed = t0.elapsed();
     let interrupted = stats.timed_out;
+    let mut span = obs::span("summary.dedup");
+    span.field("paths", completed.len() as u64);
     let completed = dedup_subsumed(&session.pool, completed);
+    span.field("kept", completed.len() as u64);
+    drop(span);
     SummaryOutcome {
         stats,
         completed: if interrupted { None } else { Some(completed) },
@@ -255,7 +262,6 @@ fn group_entry_paths<'a>(
     exit: meissa_ir::NodeId,
     entry_paths: &'a [RawPath],
     config: &ExecConfig,
-    name: &str,
 ) -> (
     Vec<FieldId>,
     Vec<(Projection, Vec<&'a RawPath>)>,
@@ -282,14 +288,6 @@ fn group_entry_paths<'a>(
     }
     let mut group_list: Vec<(Projection, Vec<&RawPath>)> = groups.into_iter().collect();
     group_list.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
-    if std::env::var_os("MEISSA_SUMMARY_DEBUG").is_some() {
-        eprintln!(
-            "summary[{name}]: {} entry paths, {} groups, read_set {}",
-            entry_paths.len(),
-            group_list.len(),
-            read_set.len()
-        );
-    }
     let discriminating: HashSet<FieldId> = {
         let mut values: HashMap<FieldId, HashSet<meissa_num::Bv>> = HashMap::new();
         let mut presence: HashMap<FieldId, usize> = HashMap::new();
@@ -450,7 +448,16 @@ fn analyze_pipeline<'a>(
         };
     }
     let (read_set, group_list, discriminating) =
-        group_entry_paths(cfg, pool, prog_ctx, entry, exit, entry_paths, config, &name);
+        group_entry_paths(cfg, pool, prog_ctx, entry, exit, entry_paths, config);
+    obs::event(
+        "summary.groups",
+        &[
+            ("pipeline", u64::from(pid.0)),
+            ("entry_paths", num_entry_paths),
+            ("groups", group_list.len() as u64),
+            ("read_set", read_set.len() as u64),
+        ],
+    );
     PipelineAnalysis {
         name,
         entry,
@@ -643,7 +650,7 @@ fn pipeline_levels(cfg: &Cfg, order: &[PipelineId]) -> Vec<Vec<usize>> {
     levels
 }
 
-/// The `config.threads > 1` pipeline loop: per topo-depth level, plan every
+/// The pipeline loop, at every thread count: per topo-depth level, plan every
 /// pipeline sequentially (cheap; pool mutations stay deterministic), run
 /// all group searches of the level as one parallel batch, re-encode in topo
 /// order, then run every seed extension of the level as a second batch.
@@ -662,9 +669,13 @@ fn summarize_pipelines_batched(
     completed: &mut Vec<RawPath>,
     stats: &mut SummaryStats,
 ) {
-    use crate::parallel::{explore_batch, ExploreJob};
-    for level in pipeline_levels(cfg, order) {
+    use crate::parallel::{batch_runs, explore_batch, ExploreJob};
+    for (depth, level) in pipeline_levels(cfg, order).into_iter().enumerate() {
+        let depth = depth as u64;
         // ---- analyze (read-only, parallel across the level) ---------------
+        let mut span = obs::span("summary.analyze");
+        span.field("level", depth);
+        span.field("pipelines", level.len() as u64);
         let seeds_by: Vec<(usize, Vec<RawPath>)> = level
             .iter()
             .map(|&idx| (idx, cache.remove(&entry_of[idx]).unwrap_or_default()))
@@ -706,6 +717,7 @@ fn summarize_pipelines_batched(
             .map(|a| plan_from_analysis(cfg, session, prog_ctx, a))
             .collect();
         drop(analyses);
+        drop(span);
         let mut entries: Vec<(usize, Vec<RawPath>, Option<PipelinePlan>)> = seeds_by
             .into_iter()
             .zip(plans)
@@ -725,14 +737,22 @@ fn summarize_pipelines_batched(
                 });
             }
         }
+        let mut span = obs::span("summary.search");
+        span.field("level", depth);
+        span.field("jobs", jobs.len() as u64);
+        span.field("runs", batch_runs(jobs.len()) as u64);
         let mut group_results = explore_batch(cfg, session, config, &jobs).into_iter();
+        drop(span);
         // ---- encode + replace bodies (topo order) -------------------------
+        let mut span = obs::span("summary.encode");
+        span.field("level", depth);
         for (idx, _, plan) in &mut entries {
             let plan = plan.take().unwrap();
             let n = plan.groups.len();
             let results: Vec<_> = group_results.by_ref().take(n).collect();
             encode_pipeline(cfg, session, stats, order[*idx], plan, results);
         }
+        drop(span);
         if stats.timed_out {
             return;
         }
@@ -761,6 +781,10 @@ fn summarize_pipelines_batched(
                 ext_src.push((pi, si));
             }
         }
+        let mut span = obs::span("summary.extend");
+        span.field("level", depth);
+        span.field("jobs", ext_jobs.len() as u64);
+        span.field("runs", batch_runs(ext_jobs.len()) as u64);
         let ext_results = explore_batch(cfg, session, config, &ext_jobs);
         for ((pi, si), r) in ext_src.into_iter().zip(ext_results) {
             stats.absorb(&r.stats);
@@ -781,6 +805,7 @@ fn summarize_pipelines_batched(
             }
         }
         prog_ctx.register_pool_vars(&mut session.pool, &cfg.fields);
+        drop(span);
         if stats.timed_out {
             return;
         }

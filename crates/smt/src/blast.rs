@@ -32,6 +32,14 @@ pub struct Blaster {
     keys: HashMap<crate::sat::Var, u64>,
 }
 
+/// The unsigned value of a little-endian bit vector under the SAT model.
+fn bits_value(sat: &SatSolver, bits: &[Lit]) -> u128 {
+    bits.iter()
+        .enumerate()
+        .filter(|(_, l)| sat.value(l.var()) == l.positive())
+        .fold(0u128, |val, (i, _)| val | 1u128 << i)
+}
+
 impl Blaster {
     /// Creates a blaster, allocating the constant-true literal in `sat`.
     pub fn new(sat: &mut SatSolver) -> Self {
@@ -85,14 +93,16 @@ impl Blaster {
     /// Unblasted variables are unconstrained; returns `None` for them.
     pub fn read_var(&self, sat: &SatSolver, v: VarId, width: u16) -> Option<Bv> {
         let bits = self.var_bits.get(&v)?;
-        let mut val = 0u128;
-        for (i, l) in bits.iter().enumerate() {
-            let bit = sat.value(l.var()) == l.positive();
-            if bit {
-                val |= 1u128 << i;
-            }
-        }
-        Some(Bv::new(width, val))
+        Some(Bv::new(width, bits_value(sat, bits)))
+    }
+
+    /// Every blasted variable's value in the SAT model (after a Sat
+    /// answer). Visits only the variables this blaster encoded, however
+    /// many more the term pool holds.
+    pub fn read_model<'a>(&'a self, sat: &'a SatSolver) -> impl Iterator<Item = (VarId, Bv)> + 'a {
+        self.var_bits
+            .iter()
+            .map(|(&v, bits)| (v, Bv::new(bits.len() as u16, bits_value(sat, bits))))
     }
 
     // ----- gates ---------------------------------------------------------

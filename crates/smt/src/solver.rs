@@ -242,12 +242,14 @@ impl Solver {
     }
 
     /// Checks satisfiability of the conjunction of all live assertions.
-    pub fn check(&mut self, pool: &mut TermPool) -> CheckResult {
+    /// Every live assertion is already blasted, so the pool is not read;
+    /// the parameter keeps the signature in line with the other checks.
+    pub fn check(&mut self, _pool: &mut TermPool) -> CheckResult {
         if !obs::active() {
-            return self.check_inner(pool);
+            return self.check_inner();
         }
         let (before, sat_before) = (self.stats, self.sat.stats);
-        let out = self.check_inner(pool);
+        let out = self.check_inner();
         self.publish_obs(before, sat_before);
         out
     }
@@ -266,7 +268,7 @@ impl Solver {
         c.sat_learned.set(sat.learned);
     }
 
-    fn check_inner(&mut self, pool: &mut TermPool) -> CheckResult {
+    fn check_inner(&mut self) -> CheckResult {
         self.stats.checks += 1;
         if self.frames.iter().any(|f| f.poisoned) {
             self.stats.fast_path += 1;
@@ -278,7 +280,7 @@ impl Solver {
         match self.sat.solve(&assumptions) {
             SatResult::Sat => {
                 self.stats.sat += 1;
-                self.capture_model(pool);
+                self.capture_model();
                 CheckResult::Sat
             }
             SatResult::Unsat => {
@@ -288,15 +290,12 @@ impl Solver {
         }
     }
 
-    fn capture_model(&mut self, pool: &TermPool) {
+    fn capture_model(&mut self) {
+        // Only blasted variables carry a value; the rest read as zero (see
+        // `model_value`), so the blaster's own variable map is the model.
         self.last_model.clear();
         if let Some(blaster) = &self.blaster {
-            for v in pool.all_vars() {
-                let w = pool.var_width(v);
-                if let Some(bv) = blaster.read_var(&self.sat, v, w) {
-                    self.last_model.insert(v, bv);
-                }
-            }
+            self.last_model.extend(blaster.read_model(&self.sat));
         }
         // A freshly captured model satisfies every open frame by
         // construction (the engine solved under all frame activations).
@@ -396,7 +395,7 @@ impl Solver {
         match self.sat.solve(&assume) {
             SatResult::Sat => {
                 self.stats.sat += 1;
-                self.capture_model(pool);
+                self.capture_model();
                 CheckResult::Sat
             }
             SatResult::Unsat => {
