@@ -892,6 +892,15 @@ fn bench_smoke() {
     // leave it unchanged, since reuse may only skip re-encoding.
     const GOLDEN_DFS_SAT_CALLS: u64 = 1716;
     const GOLDEN_SUMMARY_SAT_CALLS: u64 = 5148;
+    // Work inside those engine calls. Sibling arms are solved under the
+    // same frame activations, and the SAT engine keeps the trail of the
+    // shared assumption prefix between solves, so each batch propagates
+    // its frame cone once rather than once per arm. That reuse cut these
+    // from 244693 (dfs) and 524506 (summary) when every solve restarted
+    // at level 0. A drift here means the engine re-does (or skips) work
+    // the verdict counters above cannot see.
+    const GOLDEN_DFS_SAT_PROPAGATIONS: u64 = 62015;
+    const GOLDEN_SUMMARY_SAT_PROPAGATIONS: u64 = 153689;
 
     let w = gw(3, GwScale { eips: 8 });
     let smt_only = MeissaConfig {
@@ -918,6 +927,10 @@ fn bench_smoke() {
         dfs.sat_engine_calls, GOLDEN_DFS_SAT_CALLS,
         "gw-3-r8/dfs sat_engine_calls drifted from the recorded golden"
     );
+    assert_eq!(
+        dfs.sat_propagations, GOLDEN_DFS_SAT_PROPAGATIONS,
+        "gw-3-r8/dfs SAT propagations drifted from the recorded golden"
+    );
     let summary = measure(
         &w,
         MeissaConfig {
@@ -942,6 +955,10 @@ fn bench_smoke() {
     assert_eq!(
         summary.sat_engine_calls, GOLDEN_SUMMARY_SAT_CALLS,
         "gw-3-r8/summary sat_engine_calls drifted from the recorded golden"
+    );
+    assert_eq!(
+        summary.sat_propagations, GOLDEN_SUMMARY_SAT_PROPAGATIONS,
+        "gw-3-r8/summary SAT propagations drifted from the recorded golden"
     );
     // Same run through the auto router: the BDD engine takes the
     // match-field-only probes, yet every externally visible counter —

@@ -51,6 +51,9 @@ pub struct EngineRun {
     pub backend_routed_bdd: u64,
     /// Individual arm/set verdicts the BDD engine answered.
     pub bdd_probes: u64,
+    /// Literals the SAT engine propagated: the work behind
+    /// `sat_engine_calls`, which trail reuse and solver lifetimes move.
+    pub sat_propagations: u64,
     /// True when the time budget expired.
     pub timed_out: bool,
 }
@@ -70,6 +73,7 @@ impl ToJson for EngineRun {
             ("backend_routed_smt".into(), self.backend_routed_smt.to_json()),
             ("backend_routed_bdd".into(), self.backend_routed_bdd.to_json()),
             ("bdd_probes".into(), self.bdd_probes.to_json()),
+            ("sat_propagations".into(), self.sat_propagations.to_json()),
             ("timed_out".into(), self.timed_out.to_json()),
         ])
     }
@@ -128,6 +132,11 @@ impl FromJson for EngineRun {
                 .ok()
                 .map_or(Ok(0), FromJson::from_json)
                 .map_err(|e: JsonError| e.context("EngineRun.bdd_probes"))?,
+            sat_propagations: v
+                .field("sat_propagations")
+                .ok()
+                .map_or(Ok(0), FromJson::from_json)
+                .map_err(|e: JsonError| e.context("EngineRun.sat_propagations"))?,
             timed_out: FromJson::from_json(v.field("timed_out")?)
                 .map_err(|e: JsonError| e.context("EngineRun.timed_out"))?,
         })
@@ -152,6 +161,7 @@ pub fn measure(w: &Workload, config: MeissaConfig) -> EngineRun {
         backend_routed_smt: out.stats.backend_routed_smt,
         backend_routed_bdd: out.stats.backend_routed_bdd,
         bdd_probes: out.stats.bdd_probes,
+        sat_propagations: out.stats.sat.propagations,
         timed_out: out.stats.timed_out,
     }
 }
@@ -245,6 +255,7 @@ mod tests {
             backend_routed_smt: 4,
             backend_routed_bdd: 2,
             bdd_probes: 2,
+            sat_propagations: 40,
             timed_out: false,
         };
         assert_eq!(cell(&ok), "1.23s");

@@ -456,9 +456,9 @@ const TRUE_KEY: u64 = 0x7472_7565;
 /// Salt applied to a variable key when the literal is negated.
 const NEG_SALT: u64 = 0x6e65_675f_6e65_675f;
 /// Structural gate tags.
-const AND_TAG: u64 = 0x616e_64;
-const XOR_TAG: u64 = 0x786f_72;
-const MAJ_TAG: u64 = 0x6d61_6a;
+const AND_TAG: u64 = 0x61_6e64;
+const XOR_TAG: u64 = 0x78_6f72;
+const MAJ_TAG: u64 = 0x6d_616a;
 const ANDN_TAG: u64 = 0x616e_646e;
 
 /// One splitmix64 round; fixed constants, no per-process seeding — stable

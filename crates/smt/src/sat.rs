@@ -10,6 +10,13 @@
 //! branch arm by assuming its (cached) blasted literal — one `solve` per
 //! arm over the same clause set, with no frame churn and no falsification.
 //!
+//! Consecutive solves keep the assignment trail of their longest common
+//! assumption prefix (van der Tak, Ramos & Heule, "Reusing the Assignment
+//! Trail in CDCL Solvers", JSAT 2011): frame activations come first and the
+//! arm literal last, so sibling probes propagate the shared frame cone once
+//! per batch rather than once per arm. Any `add_clause` still restarts from
+//! level 0, so every change to the original clause set sees a clean trail.
+//!
 //! Learned-clause deletion is intentionally omitted: Meissa's queries are
 //! many small solves over one shared clause set, not single hard instances,
 //! so the learned set stays modest and keeping it *is* the cross-query reuse
@@ -220,6 +227,10 @@ pub struct SatSolver {
     reasons: Vec<u32>, // clause index or u32::MAX
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
+    /// The assumptions decided at levels `1..=assumed.len()` of the trail
+    /// (`assumed[i]` opened level `i + 1`). The next `solve` keeps the
+    /// levels whose assumptions it shares as a prefix.
+    assumed: Vec<Lit>,
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
@@ -257,6 +268,7 @@ impl SatSolver {
             reasons: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
+            assumed: Vec::new(),
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
@@ -337,8 +349,10 @@ impl SatSolver {
     /// Adds a clause. Returns `false` if the solver became trivially
     /// unsatisfiable (empty clause, or conflicting units at level 0).
     ///
-    /// Adding a clause cancels any in-progress model: the solver backtracks
-    /// to level 0 first (callers capture models before adding clauses).
+    /// Adding a clause cancels any in-progress model and any reusable
+    /// assumption trail: the solver backtracks to level 0 first (callers
+    /// capture models before adding clauses), so the new clause is watched
+    /// and propagated against level-0 facts only.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         self.backtrack(0);
         if !self.ok {
@@ -572,6 +586,7 @@ impl SatSolver {
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
+        self.assumed.truncate(level as usize);
         self.qhead = self.trail.len();
     }
 
@@ -600,12 +615,34 @@ impl SatSolver {
     }
 
     /// Solves under the given assumptions.
+    ///
+    /// Assumption `i` is decided at level `i + 1`. The call starts from the
+    /// trail the previous call left, backtracked to the longest prefix of
+    /// assumptions the two calls share: those levels were propagated to a
+    /// fixpoint, and since then the clause set has only gained learned
+    /// clauses (implied, and attached consistently with the trail), so
+    /// re-deciding them would rebuild the same assignment.
+    ///
+    /// Post-condition, which is what the next call can reuse:
+    /// * `Sat`: the full model stays on the trail (read it with
+    ///   [`SatSolver::value`]); levels `1..=assumptions.len()` hold the
+    ///   assumptions.
+    /// * `Unsat` because assumption `d` is falsified: levels `1..=d` stay,
+    ///   holding `assumptions[..d]`.
+    /// * Any other `Unsat` (the clause set itself is unsatisfiable): the
+    ///   trail is at level 0.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         self.stats.solves += 1;
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.backtrack(0);
+        let shared = self
+            .assumed
+            .iter()
+            .zip(assumptions)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.backtrack(shared as u32);
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(restart_count);
         let mut conflicts_this_restart = 0u64;
@@ -654,8 +691,8 @@ impl SatSolver {
                             self.trail_lim.push(self.trail.len());
                         }
                         LBool::False => {
-                            // Assumption conflicts with current knowledge.
-                            self.backtrack(0);
+                            // Assumption conflicts with current knowledge;
+                            // the levels of the assumptions before it stay.
                             return SatResult::Unsat;
                         }
                         LBool::Undef => {
@@ -664,6 +701,7 @@ impl SatSolver {
                             self.enqueue(a, NO_REASON);
                         }
                     }
+                    self.assumed.push(a);
                     continue;
                 }
                 match self.pick_branch() {
@@ -1031,6 +1069,125 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn trail_reuse_agrees_with_fresh_solvers() {
+        // One long-lived solver answers a sequence of assumption lists that
+        // share prefixes of random length with their predecessor, with
+        // clauses and variables added between solves. Every verdict must
+        // equal a fresh solver's on the same clause set, and every `Sat`
+        // assignment must satisfy all clauses and all assumptions — so a
+        // kept level that is not part of the shared prefix (a stale
+        // assumption or decision left on the trail) cannot go unnoticed.
+        use meissa_testkit::prop::{self, G};
+        use meissa_testkit::{prop_assert, prop_assert_eq};
+
+        fn arb_lit(g: &mut G, nvars: usize) -> Lit {
+            Lit::new(Var(g.index(nvars) as u32), g.bool())
+        }
+        fn arb_clause(g: &mut G, nvars: usize) -> Vec<Lit> {
+            (0..g.len(1, 3)).map(|_| arb_lit(g, nvars)).collect()
+        }
+
+        prop::check(256, |g| {
+            let mut s = SatSolver::new();
+            let mut nvars = g.len(2, 10);
+            for _ in 0..nvars {
+                s.new_var();
+            }
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..g.len(0, 2 * nvars) {
+                let c = arb_clause(g, nvars);
+                s.add_clause(&c);
+                clauses.push(c);
+            }
+            let mut prev: Vec<Lit> = Vec::new();
+            for step in 0..g.len(1, 16) {
+                match g.index(4) {
+                    1 => {
+                        let c = arb_clause(g, nvars);
+                        s.add_clause(&c);
+                        clauses.push(c);
+                    }
+                    2 => {
+                        s.new_var();
+                        nvars += 1;
+                    }
+                    _ => {}
+                }
+                let mut assumptions = prev[..g.range(0..=prev.len())].to_vec();
+                for _ in 0..g.len(0, 4) {
+                    assumptions.push(arb_lit(g, nvars));
+                }
+                let got = s.solve(&assumptions);
+                let mut fresh = SatSolver::new();
+                for _ in 0..nvars {
+                    fresh.new_var();
+                }
+                for c in &clauses {
+                    fresh.add_clause(c);
+                }
+                let want = fresh.solve(&assumptions);
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "step {step}: {got:?} under {assumptions:?} over {clauses:?}, fresh solver says {want:?}"
+                );
+                if got == SatResult::Sat {
+                    let holds = |l: &Lit| s.value(l.var()) == l.positive();
+                    for c in &clauses {
+                        prop_assert!(
+                            c.iter().any(holds),
+                            "step {step}: model violates clause {c:?} under {assumptions:?}"
+                        );
+                    }
+                    for a in &assumptions {
+                        prop_assert!(
+                            holds(a),
+                            "step {step}: model violates assumption {a:?} of {assumptions:?}"
+                        );
+                    }
+                }
+                prev = assumptions;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn shared_assumption_prefix_is_propagated_once() {
+        // A chain x0 -> x1 -> ... -> x63 behind the frame-like assumption
+        // x0: sibling probes that differ only in their last assumption must
+        // not re-propagate the chain, while any added clause resets it.
+        let mut s = SatSolver::new();
+        let v = lits(&mut s, 66);
+        for i in 0..63 {
+            s.add_clause(&[neg(v[i]), pos(v[i + 1])]);
+        }
+        assert_eq!(s.solve(&[pos(v[0]), pos(v[64])]), SatResult::Sat);
+        let first = s.stats.propagations;
+        assert!(first >= 64, "the chain propagates on the first solve");
+        assert_eq!(s.solve(&[pos(v[0]), pos(v[65])]), SatResult::Sat);
+        assert!(s.value(v[63]) && s.value(v[65]));
+        let sibling = s.stats.propagations - first;
+        assert!(
+            sibling < 8,
+            "sibling probe re-propagated the shared prefix ({sibling} propagations)"
+        );
+        s.add_clause(&[neg(v[64]), neg(v[65])]);
+        let before = s.stats.propagations;
+        assert_eq!(s.solve(&[pos(v[0]), pos(v[65])]), SatResult::Sat);
+        assert!(
+            s.stats.propagations - before >= 64,
+            "add_clause restarts from level 0"
+        );
+        // A falsified last assumption keeps the prefix for the next probe.
+        assert_eq!(s.solve(&[pos(v[0]), neg(v[63])]), SatResult::Unsat);
+        let before = s.stats.propagations;
+        assert_eq!(s.solve(&[pos(v[0]), pos(v[64])]), SatResult::Sat);
+        assert!(s.stats.propagations - before < 8);
+        assert!(s.value(v[63]) && s.value(v[64]) && !s.value(v[65]));
     }
 
     #[test]

@@ -314,6 +314,10 @@ impl Solver {
     /// * clauses the engine learns refuting one arm stay active for its
     ///   siblings (a `pop` would have kept them too, but attached to a
     ///   now-falsified activation var the engine still has to track);
+    /// * frame activations lead every assumption list and the arm literal
+    ///   comes last, so the engine keeps the frames' propagated trail from
+    ///   one arm to the next (see [`SatSolver::solve`]) unless blasting an
+    ///   arm's cone added clauses;
     /// * when the most recent model already satisfies every open frame, an
     ///   arm the model also satisfies is answered `Sat` by term evaluation
     ///   alone (`model_reuse` in the stats), skipping the engine entirely.

@@ -216,6 +216,17 @@ fn summary_solver_counters_are_thread_count_invariant() {
                 base.stats.cache_probes, got.stats.cache_probes,
                 "{name}: cache_probes drifts at {threads} threads"
             );
+            // SAT-internal work sees what the counters above cannot: how
+            // long each solver lived. A solver kept across runs (or per
+            // worker) answers the same probes with a different clause set
+            // and trail, so propagations move with the schedule even when
+            // every probe still reaches the engine.
+            let (b, s) = (base.stats.sat, got.stats.sat);
+            assert_eq!(
+                (b.propagations, b.decisions, b.conflicts),
+                (s.propagations, s.decisions, s.conflicts),
+                "{name}: SAT propagations/decisions/conflicts drift at {threads} threads"
+            );
         }
     }
 }

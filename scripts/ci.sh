@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: hermetic (offline) build + tests + dependency guard.
+# CI entry point: hermetic (offline) build + clippy + tests + dependency guard.
 #
 # The workspace must build with NOTHING from crates.io — every dependency is
 # an in-repo `meissa-*` path crate (`meissa-testkit` supplies the RNG,
@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> build (release, offline)"
 cargo build --release --offline --workspace --benches
+
+echo "==> clippy (offline, every target)"
+# Lints the whole workspace, tests and benches included. Deny-level lints
+# (clippy's defaults) fail the run; warn-level ones are reported only.
+cargo clippy --offline --workspace --all-targets
 
 echo "==> test (offline, sequential engine: MEISSA_THREADS=1, auto backend)"
 # MEISSA_BACKEND=auto is the default; pin it so the CI run is explicit
@@ -86,10 +91,10 @@ cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- --check "
 
 echo "==> bench smoke: gw-3-r8 figures row vs goldens"
 # Runs the figures bench in smoke mode: one gw-3 (8-EIP) row through the
-# DFS and summary engines at threads=1, asserting smt_checks and template
-# counts against goldens. Catches silent drift in the Fig. 11b metric —
-# batched probing must keep one smt_check per probed arm — without paying
-# for the full bench sweep. With observability off (no MEISSA_TRACE here),
+# DFS and summary engines at threads=1, asserting smt_checks, template
+# counts, SAT-engine calls and SAT propagations against goldens. Catches
+# silent drift in the Fig. 11b metric — batched probing must keep one
+# smt_check per probed arm — without paying for the full bench sweep. With observability off (no MEISSA_TRACE here),
 # this also runs the disabled-path guard: a gated obs site must cost one
 # relaxed atomic load (< 5 ns), or the smoke run fails.
 MEISSA_BENCH_SMOKE=1 cargo bench -q --offline -p meissa-bench
